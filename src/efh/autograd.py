@@ -2,22 +2,41 @@
 
 Tensors are dense, row-major, f32 or f64. Every operation records its
 inputs and a backward closure; ``backward`` walks the graph in reverse
-topological order with deterministic accumulation. f32 is the runtime
-precision, f64 is used for finite-difference verification.
+topological order with deterministic accumulation. Inside a ``no_grad()``
+scope nothing is recorded. f32 is the runtime precision, f64 is used for
+finite-difference verification.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.special import erf as _erf
 
-_FINITE_CHECKS = True
+
+class _GradMode(threading.local):
+    enabled = True
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf guard on op outputs (off for benchmarking)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
+_GRAD_MODE = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Run ops in this thread without recording the tape.
+
+    Outputs are created with ``requires_grad=False`` and keep neither
+    their inputs nor a backward closure, so intermediate arrays are freed
+    as soon as nothing else holds them. Other threads are unaffected.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
 
 
 class AutogradError(Exception):
@@ -36,7 +55,7 @@ def _as_array(data, dtype=None):
 
 
 def _check_finite(arr, op):
-    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite values produced by {op}")
 
 
@@ -66,7 +85,7 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = data
         t.grad = None
-        t.requires_grad = any(c.requires_grad for c in children)
+        t.requires_grad = _GRAD_MODE.enabled and any(c.requires_grad for c in children)
         t._children = tuple(children) if t.requires_grad else ()
         t._backward = backward if t.requires_grad else None
         t._op = op

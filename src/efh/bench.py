@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autograd import no_grad
 from .decoder import decode_detections
 from .textenc import LanguageCache
 
@@ -62,6 +63,7 @@ class ModuleTimings:
                    d["warmup"], d["iterations"])
 
 
+@no_grad()   # the same tape-free path as Detector.detect
 def timed_detect(model, image, prompt, labels, cache=None, image_id="",
                  score_threshold=None):
     """One full pass with per-component wall times; returns (times, detections)."""

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, no_grad
 from .backbone import ImageBackbone
 from .decoder import (DetectionSet, ElaDecoder, build_dn_mask, classify,
                       decode_detections)
@@ -114,6 +114,9 @@ class Detector:
         missing = set(params) - set(stored)
         if missing:
             raise ValueError(f"checkpoint missing tensors: {sorted(missing)[:5]}...")
+        # Before any weight changes, so a load that fails part-way through
+        # still keeps the language cache from serving the old embeddings.
+        self.textenc.renew_weights_token()
         for name, p in params.items():
             arr = stored[name]
             if arr.shape != p.data.shape:
@@ -144,6 +147,7 @@ class Detector:
         records, final = self.decoder.run_layers(state, encoded, mask, projected)
         return records, final, proposals
 
+    @no_grad()   # inference records no autograd tape
     def detect(self, image, prompt, labels, cache: LanguageCache | None = None,
                image_id="", score_threshold=None) -> DetectionSet:
         threshold = (self.config.score_threshold

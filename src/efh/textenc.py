@@ -5,20 +5,26 @@ encoded one at a time and represented by the [cls] position (sentence
 level); prompts keep their full token-level outputs. A LanguageCache
 memoizes both, keyed by the exact string plus its role, so repeated
 text never re-enters the encoder. No normalization is applied to keys;
-callers that want case folding must do it themselves.
+callers that want case folding must do it themselves. A cache holds the
+embeddings of one set of weights: it empties itself when an encoder
+whose weights token differs from the one it was filled under uses it.
+Cached encoding runs without recording the autograd tape, so a miss
+returns the same kind of gradient-free tensor as a hit.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 import threading
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, stack
+from .autograd import Tensor, no_grad, stack
 from .nn import LayerNorm, TransformerLayer, make_rng, uniform_init
 from .tensor_io import read_tensor, write_tensor
 
@@ -30,6 +36,9 @@ ROLE_LABEL = "label"
 ROLE_PROMPT = "prompt"
 _ROLE_BYTES = {ROLE_LABEL: b"l", ROLE_PROMPT: b"p"}
 _ROLE_FROM_BYTE = {v: k for k, v in _ROLE_BYTES.items()}
+
+# Every set of text-encoder weights gets a process-unique token.
+_WEIGHTS_TOKENS = itertools.count(1)
 
 
 @dataclass
@@ -74,19 +83,35 @@ class LanguageCache:
     Thread-safe: lookups and inserts are serialized by a lock, so a hit
     concurrent with an insert of a different key never observes torn
     state. Hits return the exact stored array (read-only view).
+
+    ``lookup`` and ``insert`` take the weights token of the encoder that
+    calls them. The cache remembers the token its entries were computed
+    under and empties itself, without counting evictions, when a caller
+    brings another one. Entries read by ``load`` carry no token: the first
+    caller with a token claims them.
     """
 
     def __init__(self, capacity: int = 1024):
         self._entries = OrderedDict()
         self._lock = threading.Lock()
+        self._token = None
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def lookup(self, role, text):
+    def _claim(self, token):
+        """With the lock held: drop entries computed under other weights."""
+        if token is None or token == self._token:
+            return
+        if self._token is not None:
+            self._entries.clear()
+        self._token = token
+
+    def lookup(self, role, text, token=None):
         key = (role, text)
         with self._lock:
+            self._claim(token)
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self.hits += 1
@@ -94,11 +119,12 @@ class LanguageCache:
             self.misses += 1
             return None
 
-    def insert(self, role, text, value: np.ndarray):
+    def insert(self, role, text, value: np.ndarray, token=None):
         value = np.ascontiguousarray(value)
         value.setflags(write=False)
         key = (role, text)
         with self._lock:
+            self._claim(token)
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -150,6 +176,11 @@ class TextEncoder:
         self.layers = [TransformerLayer(rng, d_text, heads, dtype=dtype)
                        for _ in range(layers)]
         self.final_norm = LayerNorm(d_text, dtype)
+        self.renew_weights_token()
+
+    def renew_weights_token(self):
+        """Mark the weights as new, so language caches drop older embeddings."""
+        self.weights_token = next(_WEIGHTS_TOKENS)
 
     def _encode_tokens(self, ids):
         idx = np.asarray(ids, dtype=np.int64)
@@ -174,34 +205,40 @@ class TextEncoder:
                       training: bool = False) -> PromptEncoding:
         if not prompt.strip():
             raise ValueError("empty prompt")
+        if training:
+            cache = None
         n_tokens = len(tokenize(prompt, self.max_len))
-        if cache is not None and not training:
-            hit = cache.lookup(ROLE_PROMPT, prompt)
-            if hit is not None:
-                return PromptEncoding(Tensor(hit), np.ones(n_tokens, dtype=bool))
-        enc = self.encode_text(prompt)
-        if cache is not None and not training:
-            cache.insert(ROLE_PROMPT, prompt, enc.data)
+        with no_grad() if cache is not None else nullcontext():
+            if cache is not None:
+                hit = cache.lookup(ROLE_PROMPT, prompt, self.weights_token)
+                if hit is not None:
+                    return PromptEncoding(Tensor(hit), np.ones(n_tokens, dtype=bool))
+            enc = self.encode_text(prompt)
+        if cache is not None:
+            cache.insert(ROLE_PROMPT, prompt, enc.data, self.weights_token)
         return PromptEncoding(enc, np.ones(n_tokens, dtype=bool))
 
     def encode_labels(self, labels, cache: LanguageCache | None = None,
                       training: bool = False) -> LabelEmbeddings:
         if not labels:
             raise ValueError("empty label list")
-        rows = []
-        for label in labels:
-            if not label.strip():
-                raise ValueError("empty label string")
-            if cache is not None and not training:
-                hit = cache.lookup(ROLE_LABEL, label)
-                if hit is not None:
-                    rows.append(Tensor(hit))
-                    continue
-            cls_row = self.encode_text(label)[0]
-            if cache is not None and not training:
-                cache.insert(ROLE_LABEL, label, cls_row.data)
-            rows.append(cls_row)
-        return LabelEmbeddings(stack(rows, axis=0), list(labels))
+        if training:
+            cache = None
+        with no_grad() if cache is not None else nullcontext():
+            rows = []
+            for label in labels:
+                if not label.strip():
+                    raise ValueError("empty label string")
+                if cache is not None:
+                    hit = cache.lookup(ROLE_LABEL, label, self.weights_token)
+                    if hit is not None:
+                        rows.append(Tensor(hit))
+                        continue
+                cls_row = self.encode_text(label)[0]
+                if cache is not None:
+                    cache.insert(ROLE_LABEL, label, cls_row.data, self.weights_token)
+                rows.append(cls_row)
+            return LabelEmbeddings(stack(rows, axis=0), list(labels))
 
     def parameters(self, prefix="textenc"):
         out = {f"{prefix}.tok_emb": self.tok_emb, f"{prefix}.pos_emb": self.pos_emb}

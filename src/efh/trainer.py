@@ -21,21 +21,26 @@ def train_step(model, batch, opt: AdamW, dn_cfg: DnConfig,
                weights: LossWeights, rng):
     """One optimizer update over a batch of task samples.
 
-    Returns a loss breakdown whose od/dn parts sum to the total.
+    Returns a loss breakdown whose od/dn parts sum to the total. Raises
+    ``NonFiniteLossError``, with the weights left as they were, when the
+    forward pass, the loss or any gradient is not finite.
     """
     if not batch:
         raise ValueError("empty batch")
     opt.zero_grad()
     total = None
     od_val = dn_val = 0.0
-    for sample in batch:
-        od_rec, dn_rec, layout = model.train_forward(sample, dn_cfg, rng)
-        od_term, od_br = detection_loss(od_rec, sample.gt, weights)
-        dn_term, dn_br = dn_loss(dn_rec, sample.gt, layout, weights)
-        loss = total_loss(od_term, dn_term)
-        total = loss if total is None else total + loss
-        od_val += od_br["total"]
-        dn_val += dn_br["total"]
+    try:
+        for sample in batch:
+            od_rec, dn_rec, layout = model.train_forward(sample, dn_cfg, rng)
+            od_term, od_br = detection_loss(od_rec, sample.gt, weights)
+            dn_term, dn_br = dn_loss(dn_rec, sample.gt, layout, weights)
+            loss = total_loss(od_term, dn_term)
+            total = loss if total is None else total + loss
+            od_val += od_br["total"]
+            dn_val += dn_br["total"]
+    except FloatingPointError as exc:
+        raise NonFiniteLossError(opt.t, {"forward": str(exc)}) from exc
     n = len(batch)
     total = total * (1.0 / n)
     breakdown = {"od": od_val / n, "dn": dn_val / n,
@@ -43,6 +48,10 @@ def train_step(model, batch, opt: AdamW, dn_cfg: DnConfig,
     if not np.isfinite(breakdown["total"]):
         raise NonFiniteLossError(opt.t, breakdown)
     backward(total)
+    bad = [name for name, p in opt.params.items()
+           if p.grad is not None and not np.isfinite(p.grad).all()]
+    if bad:
+        raise NonFiniteLossError(opt.t, {**breakdown, "non_finite_grads": bad})
     opt.step()
     breakdown["lr"] = opt.current_lr()
     return breakdown

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .autograd import Tensor, absolute, backward, bce_with_logits, maximum, minimum
 
@@ -155,6 +154,8 @@ def hungarian_match(pred_boxes, pred_logits, gt: GroundTruth,
     n_q = (pred_boxes.data if isinstance(pred_boxes, Tensor) else pred_boxes).shape[0]
     if gt.count > n_q:
         raise ValueError(f"{gt.count} targets exceed {n_q} queries")
+    from scipy.optimize import linear_sum_assignment   # deferred: slow import, training only
+
     cost = match_cost_matrix(pred_boxes, pred_logits, gt, weights)
     rows, cols = linear_sum_assignment(cost)
     return sorted(zip(rows.tolist(), cols.tolist()), key=lambda rc: rc[1])
@@ -162,6 +163,8 @@ def hungarian_match(pred_boxes, pred_logits, gt: GroundTruth,
 
 def solve_assignment(cost: np.ndarray):
     """Minimum-cost one-to-one assignment on a raw cost matrix."""
+    from scipy.optimize import linear_sum_assignment   # deferred: slow import, training only
+
     rows, cols = linear_sum_assignment(np.asarray(cost, dtype=np.float64))
     total = float(np.asarray(cost)[rows, cols].sum())
     return dict(zip(rows.tolist(), cols.tolist())), total

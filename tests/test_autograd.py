@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,13 @@ from hypothesis import strategies as st
 
 from efh.autograd import (AttentionMask, AutogradError, ShapeError, Tensor,
                           backward, bilinear_sample, concat, grad_check,
-                          layer_norm, matmul, softmax, top_k)
+                          layer_norm, matmul, no_grad, softmax, top_k)
+from efh.data import generate_dataset
+from efh.model import Detector, ModelConfig
 from efh.nn import MultiHeadSelfAttention, make_rng
+from efh.textenc import LanguageCache
+from efh.trainer import train_step
+from efh.training import AdamW
 
 
 def t64(arr):
@@ -270,6 +277,8 @@ class TestFiniteGuard:
         x = Tensor(np.array([1.0, 0.0]))
         with pytest.raises(FloatingPointError):
             _ = x.log() * 0.0  # log(0) = -inf
+        with no_grad(), pytest.raises(FloatingPointError):
+            _ = x.log() * 0.0
 
     def test_concat_backward(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -277,3 +286,72 @@ class TestFiniteGuard:
         grads = backward((concat([a, b], axis=0) * 2.0).sum())
         assert grads[a].shape == (2, 3)
         assert grads[b].shape == (4, 3)
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with no_grad():
+            outs = [matmul(x, w), (x * 2.0).sum(), softmax(x, axis=1), x[0],
+                    concat([x, x], axis=0)]
+        for y in outs:
+            assert y._children == ()
+            assert y._backward is None
+            assert not y.requires_grad
+        y = matmul(x, w)
+        assert y._children == (x, w)
+        assert y._backward is not None
+
+    def test_flag_restored_after_exception(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the scope")
+        assert (x * 2.0)._backward is not None
+
+    def test_other_thread_keeps_its_tape(self):
+        entered, release = threading.Event(), threading.Event()
+        inside = []
+
+        def infer():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+                inside.append(Tensor(np.ones(2), requires_grad=True) * 2.0)
+
+        worker = threading.Thread(target=infer)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            x = Tensor(np.arange(3.0), requires_grad=True)
+            y = (x * x).sum()   # recorded while the other thread is inside no_grad
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert np.array_equal(backward(y)[x], 2.0 * x.data)
+        assert inside[0]._backward is None
+
+    def test_train_step_after_detect_unchanged(self):
+        cfg = ModelConfig(d=32, d_text=32, heads=8, text_heads=4, layers=2,
+                          text_layers=1, k_q=8)
+        sample = generate_dataset([1], canvas_size=32)[0]
+
+        def step(detect_first):
+            model = Detector(cfg)
+            if detect_first:
+                model.detect(sample.image, sample.prompt, sample.labels, LanguageCache())
+            params = model.trainable_parameters()
+            opt = AdamW(params, lr=1e-3)
+            loss = train_step(model, [sample], opt, cfg.dn, cfg.loss_weights, make_rng(0))
+            return loss, {k: p.grad for k, p in params.items()}
+
+        loss_a, grads_a = step(detect_first=True)
+        loss_b, grads_b = step(detect_first=False)
+        assert loss_a == loss_b
+        assert grads_a.keys() == grads_b.keys()
+        assert any(g is not None for g in grads_a.values())
+        for name, g in grads_a.items():
+            assert (g is None) == (grads_b[name] is None), name
+            assert g is None or np.array_equal(g, grads_b[name]), name

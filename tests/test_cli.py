@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from efh.cli import EXIT_USAGE, main
+from efh.cli import EXIT_TRAINING, EXIT_USAGE, main
 from efh.data import generate_synthetic_scene
 from efh.model import Detector, ModelConfig
 from efh.tensor_io import save_tensor, write_ppm
@@ -109,6 +109,17 @@ class TestTrain:
         metrics = json.loads((tmp_path / "t2.otck.metrics.json").read_text())
         assert metrics[-1]["step"] == 2
         assert "total" in metrics[-1]
+
+    def test_divergence_exits_3_with_finite_checkpoint(self, tmp_path):
+        config = tmp_path / "diverge.json"
+        config.write_text(json.dumps({"lr": 1e6}))
+        out = tmp_path / "d.otck"
+        code = run("train", "--config", str(config), "--steps", "5",
+                   "--scenes", "2", "--out", str(out))
+        assert code == EXIT_TRAINING
+        model = Detector(ModelConfig())
+        model.load(out)
+        assert all(np.isfinite(p.data).all() for p in model.parameters().values())
 
     def test_jsonl_dataset_missing(self, workdir):
         assert run("train", "--dataset", "missing.jsonl", "--steps", "1") == EXIT_USAGE

@@ -6,7 +6,8 @@ from efh.decoder import DetectionSet
 from efh.model import Detector, ModelConfig
 from efh.nn import make_rng
 from efh.textenc import LanguageCache
-from efh.trainer import evaluate_model, run_training, train_step
+import efh.trainer
+from efh.trainer import NonFiniteLossError, evaluate_model, run_training, train_step
 from efh.training import AdamW
 
 SMALL = dict(d=32, d_text=32, heads=8, text_heads=4, layers=2,
@@ -74,6 +75,27 @@ class TestDetector:
         other = small_model(seed=2)
         other.load(path)
         assert other.detect(img, "find shapes", vocab).to_json() == before
+
+    def test_cache_warmed_before_load_not_served(self, tmp_path):
+        img, _, vocab = scene(5)
+        path = tmp_path / "seed1.otck"
+        small_model(seed=1).save(path)
+        model = small_model(seed=0)
+        cache = LanguageCache()
+        model.detect(img, "find shapes", vocab, cache)     # warm on seed-0 weights
+        model.load(path)
+        cached = model.detect(img, "find shapes", vocab, cache).to_json()
+        assert cached == model.detect(img, "find shapes", vocab).to_json()
+        assert cache.stats()["evictions"] == 0   # emptying is not eviction
+
+    def test_cache_shared_by_two_detectors(self):
+        img, _, vocab = scene(5)
+        models = [small_model(seed=0), small_model(seed=1)]
+        cache = LanguageCache()
+        for _ in range(2):
+            for model in models:
+                cached = model.detect(img, "find shapes", vocab, cache).to_json()
+                assert cached == model.detect(img, "find shapes", vocab).to_json()
 
     def test_load_shape_mismatch_rejected(self, tmp_path):
         model = small_model()
@@ -146,3 +168,34 @@ class TestTrainingLoop:
         assert all("total" in rec for rec in m1)
         per_label, mean = evaluate_model(model1, samples)
         assert 0.0 <= mean <= 1.0
+
+    def test_non_finite_forward_raises_before_update(self):
+        model = small_model()
+        sample = generate_dataset([2], canvas_size=32)[0]
+        opt = AdamW(model.trainable_parameters(), lr=1e-3)
+        model.parameters()["textenc.tok_emb"].data[:, 0] = np.inf
+        with pytest.raises(NonFiniteLossError):
+            train_step(model, [sample], opt, model.config.dn,
+                       model.config.loss_weights, make_rng(0))
+        assert opt.t == 0
+
+    def test_non_finite_gradient_stops_before_update(self, monkeypatch):
+        model = small_model()
+        sample = generate_dataset([2], canvas_size=32)[0]
+        params = model.trainable_parameters()
+        opt = AdamW(params, lr=1e-3)
+        before = {k: p.data.copy() for k, p in params.items()}
+        real_backward = efh.trainer.backward
+
+        def poisoned(loss):
+            result = real_backward(loss)
+            p = params["decoder.layer0.self_attn.q.w"]
+            p.grad = np.full_like(p.grad, np.nan)
+            return result
+
+        monkeypatch.setattr(efh.trainer, "backward", poisoned)
+        with pytest.raises(NonFiniteLossError):
+            train_step(model, [sample], opt, model.config.dn,
+                       model.config.loss_weights, make_rng(0))
+        assert opt.t == 0
+        assert all(np.array_equal(before[k], p.data) for k, p in params.items())

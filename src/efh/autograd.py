@@ -458,6 +458,53 @@ def minimum(a, b):
     return Tensor._from_op(out_data, (a, b), backward, "minimum")
 
 
+def _bilinear_corners(x, y, h, w):
+    """The four zero-padded bilinear corners of pixel points ``(x, y)``.
+
+    ``h`` and ``w`` are grid sizes broadcastable against ``x``. Corners
+    run (y0, x0), (y0, x1), (y1, x0), (y1, x1) along a new leading axis,
+    with ``x0 = floor(x)``, ``x1 = x0 + 1`` (likewise in y). Returns
+
+    - ``cells`` [4, ...]: the row-major index ``y * w + x`` of each
+      corner, clipped into the grid;
+    - ``weights`` [4, ...]: each corner's bilinear weight, zero off the grid;
+    - ``valid`` [4, ...]: whether the corner lies on the grid;
+    - ``tx``, ``ty``: the fractional parts ``x - x0`` and ``y - y0``.
+    """
+    x0 = np.floor(x)
+    y0 = np.floor(y)
+    tx = x - x0
+    ty = y - y0
+    xs = np.stack([x0, x0 + 1])
+    ys = np.stack([y0, y0 + 1])
+    fh = np.asarray(h, dtype=xs.dtype)    # compare and clip in the points' dtype
+    fw = np.asarray(w, dtype=xs.dtype)
+    vx = (xs >= 0) & (xs < fw)
+    vy = (ys >= 0) & (ys < fh)
+    cols = np.minimum(np.maximum(xs, 0), fw - 1).astype(np.int64)
+    rows = np.minimum(np.maximum(ys, 0), fh - 1).astype(np.int64)
+    cells = ((rows * w)[:, None] + cols).reshape((4,) + tx.shape)
+    valid = (vy[:, None] & vx).reshape(cells.shape)
+    ux, uy = 1 - tx, 1 - ty
+    weights = np.stack([uy * ux, uy * tx, ty * ux, ty * tx]) * valid
+    return cells, weights, valid, tx, ty
+
+
+def _bilinear_slopes(v00, v01, v10, v11, tx, ty):
+    """d/dx and d/dy of the bilinear interpolation of corner values
+    (zero off the grid) at fractional offsets ``(tx, ty)``."""
+    return ((1 - ty) * (v01 - v00) + ty * (v11 - v10),
+            (1 - tx) * (v10 - v00) + tx * (v11 - v01))
+
+
+def _scatter_add(index, values, size):
+    """Sum ``values`` into a zero array of ``size`` elements at the flat
+    ``index`` (same shape), in index order; repeated indices accumulate."""
+    out = np.zeros(size, dtype=values.dtype)
+    np.add.at(out, index.ravel(), values.ravel())
+    return out
+
+
 def bilinear_sample(feat, points):
     """Sample ``feat`` at continuous (x, y) pixel coordinates.
 
@@ -470,71 +517,125 @@ def bilinear_sample(feat, points):
     pts = points.data if pts_is_tensor else np.asarray(points, dtype=feat.dtype)
 
     batched = feat.ndim == 4
-    if not batched:
-        fdata = feat.data[None]
-        p = pts[None]
-    else:
-        fdata = feat.data
-        p = pts
+    fdata = feat.data if batched else feat.data[None]
+    p = pts if batched else pts[None]
     B, H, W, C = fdata.shape
-    P = p.shape[1]
 
-    x = p[..., 0]
-    y = p[..., 1]
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    x1 = x0 + 1
-    y1 = y0 + 1
-    wx = (x - x0).astype(fdata.dtype)
-    wy = (y - y0).astype(fdata.dtype)
-
-    bidx = np.arange(B)[:, None] * np.ones((1, P), dtype=np.int64)
-
-    def gather(yy, xx):
-        valid = (yy >= 0) & (yy < H) & (xx >= 0) & (xx < W)
-        yc = np.clip(yy, 0, H - 1)
-        xc = np.clip(xx, 0, W - 1)
-        vals = fdata[bidx, yc, xc]            # [B, P, C]
-        vals = vals * valid[..., None]
-        return vals, valid, yc, xc
-
-    v00, m00, y00, x00 = gather(y0, x0)
-    v01, m01, y01, x01 = gather(y0, x1)
-    v10, m10, y10, x10 = gather(y1, x0)
-    v11, m11, y11, x11 = gather(y1, x1)
-
-    w00 = ((1 - wy) * (1 - wx))[..., None]
-    w01 = ((1 - wy) * wx)[..., None]
-    w10 = (wy * (1 - wx))[..., None]
-    w11 = (wy * wx)[..., None]
-
-    out_data = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
+    cells, w, valid, tx, ty = _bilinear_corners(p[..., 0], p[..., 1], H, W)  # [4, B, P]
+    rows = cells + (np.arange(B) * (H * W))[:, None]
+    w = w.astype(fdata.dtype)[..., None]
+    vals = np.take(fdata.reshape(B * H * W, C), rows, axis=0)                # [4, B, P, C]
+    out_data = vals[0] * w[0]
+    for c in range(1, 4):
+        out_data += vals[c] * w[c]
     if not batched:
         out_data = out_data[0]
 
     children = (feat, points) if pts_is_tensor else (feat,)
 
     def backward(g):
-        gb = g[None] if not batched else g
-        gfeat = np.zeros_like(fdata)
-        for vals, mask_, yy, xx, ww in ((v00, m00, y00, x00, w00),
-                                        (v01, m01, y01, x01, w01),
-                                        (v10, m10, y10, x10, w10),
-                                        (v11, m11, y11, x11, w11)):
-            contrib = gb * ww * mask_[..., None]
-            np.add.at(gfeat, (bidx, yy, xx), contrib)
-        grads = [gfeat if batched else gfeat[0]]
+        gb = g if batched else g[None]
+        gfeat = _scatter_add(rows[..., None] * C + np.arange(C), gb * w, fdata.size)
+        grads = [gfeat.reshape(feat.shape)]
         if pts_is_tensor:
-            # d/dx and d/dy of the interpolation weights, masked values as-is
-            dx = ((1 - wy)[..., None] * (v01 - v00) + wy[..., None] * (v11 - v10))
-            dy = ((1 - wx)[..., None] * (v10 - v00) + wx[..., None] * (v11 - v01))
-            gx = (gb * dx).sum(axis=-1)
-            gy = (gb * dy).sum(axis=-1)
-            gpts = np.stack([gx, gy], axis=-1)
+            dx, dy = _bilinear_slopes(*(vals * valid[..., None]), tx[..., None], ty[..., None])
+            gpts = np.stack([(gb * dx).sum(axis=-1), (gb * dy).sum(axis=-1)], axis=-1)
             grads.append(gpts if batched else gpts[0])
         return tuple(grads)
 
-    return Tensor._from_op(np.ascontiguousarray(out_data), children, backward, "bilinear_sample")
+    return Tensor._from_op(out_data, children, backward, "bilinear_sample")
+
+
+def ms_deform_attn(values, scale_shapes, scale_offsets, refs, offsets, weights,
+                   heads, points):
+    """Multi-scale deformable attention (Zhu et al., 2021) as one op.
+
+    values:  [M, d] value rows of the flattened multi-scale map; scale l,
+             of shape ``scale_shapes[l] = (h_l, w_l)``, is the row-major
+             block starting at row ``scale_offsets[l]``.
+    refs:    [N_q, 4] reference boxes, normalized (cx, cy, w, h). A
+             constant: no gradient flows into it.
+    offsets: [N_q, heads, L, points, 2], or any shape of that size:
+             sampling offsets in units of half the reference box.
+    weights: [N_q, heads, L * points], or any shape of that size.
+
+    Head ``a`` of query ``q`` reads channels ``a*d/heads : (a+1)*d/heads``
+    of scale l at pixel ``((cx + ox * w / 2) * w_l - 1/2,
+    (cy + oy * h / 2) * h_l - 1/2)``, bilinearly with zero padding, and
+    mixes its L * points samples by ``weights``. Returns [N_q, d],
+    differentiable in ``values``, ``offsets`` and ``weights``.
+
+    Every output and gradient element is computed with the same float
+    operations, in the same order, as sampling each scale with
+    ``bilinear_sample`` and mixing the samples with elementwise ops.
+    """
+    values = values if isinstance(values, Tensor) else Tensor(values)
+    offsets = offsets if isinstance(offsets, Tensor) else Tensor(offsets)
+    weights = weights if isinstance(weights, Tensor) else Tensor(weights)
+    if isinstance(refs, Tensor):
+        if refs.requires_grad:
+            raise AutogradError("ms_deform_attn takes constant refs; detach them")
+        refs = refs.data
+    v = values.data
+    m, d = v.shape
+    nq = len(refs)
+    levels = len(scale_shapes)
+    if d % heads:
+        raise ShapeError(f"width {d} not divisible by {heads} heads")
+    if offsets.size != nq * heads * levels * points * 2 or \
+            weights.size != nq * heads * levels * points:
+        raise ShapeError(f"offsets {offsets.shape} / weights {weights.shape} do not "
+                         f"match {nq} queries, {heads} heads, {levels} scales, "
+                         f"{points} points")
+    dh = d // heads
+
+    # Sampling points are laid out [L, heads, N_q, points] and corners
+    # [4, L, heads, N_q, points], the order in which the per-scale form
+    # visits them, so the value gradient accumulates per cell in the same
+    # order; gathered values add a trailing [dh] axis.
+    r = np.asarray(refs, dtype=v.dtype)
+    cx, cy, bw, bh = (r[:, i, None] for i in range(4))              # [N_q, 1]
+    # contiguous copies, so that every array derived from them is C-ordered
+    off = np.ascontiguousarray(
+        offsets.data.reshape(nq, heads, levels, points, 2).transpose(4, 2, 1, 0, 3))
+    aw = np.ascontiguousarray(weights.data.reshape(nq, heads, levels, points).transpose(2, 1, 0, 3))
+    sh, sw = np.asarray(scale_shapes, dtype=np.int64).T[:, :, None, None, None]
+    fh, fw = sh.astype(v.dtype), sw.astype(v.dtype)
+    px = (cx + off[0] * bw * 0.5) * fw - 0.5
+    py = (cy + off[1] * bh * 0.5) * fh - 0.5
+    rows, bilinear, valid, tx, ty = _bilinear_corners(px, py, sh, sw)
+
+    # Row m * heads + a of the [M * heads, dh] view of ``values`` is head
+    # a's slice of position m, so one flat index addresses both.
+    start = np.asarray(scale_offsets, dtype=np.int64)[:, None, None, None]
+    rows *= heads
+    rows += start * heads + np.arange(heads)[:, None, None]
+    vals = np.take(v.reshape(m * heads, dh), rows, axis=0)           # [4, L, h, N_q, P, dh]
+    bilinear = bilinear[..., None]
+    sampled = vals[0] * bilinear[0]
+    for c in range(1, 4):
+        sampled += vals[c] * bilinear[c]
+    mixed = sampled * aw[..., None]                                   # [L, h, N_q, P, dh]
+    terms = [mixed[level, :, :, point] for level in range(levels) for point in range(points)]
+    acc = terms[0].copy()
+    for term in terms[1:]:
+        acc += term
+    out_data = acc.transpose(1, 0, 2).reshape(nq, d)
+
+    def backward(g):
+        gh = g.reshape(nq, heads, dh).transpose(1, 0, 2)[None, :, :, None]
+        gs = gh * aw[..., None]                                       # d out / d sampled
+        flat = rows[..., None] * dh + np.arange(dh)
+        gvalues = _scatter_add(flat, gs * bilinear, v.size).reshape(m, d)
+        gweights = (gh * sampled).sum(axis=-1)
+        dx, dy = _bilinear_slopes(*(vals * valid[..., None]), tx[..., None], ty[..., None])
+        gox = (((gs * dx).sum(axis=-1) * fw) * 0.5) * bw
+        goy = (((gs * dy).sum(axis=-1) * fh) * 0.5) * bh
+        return (gvalues,
+                np.stack([gox, goy]).transpose(3, 2, 1, 4, 0).reshape(offsets.shape),
+                gweights.transpose(2, 1, 0, 3).reshape(weights.shape))
+
+    return Tensor._from_op(out_data, (values, offsets, weights), backward, "ms_deform_attn")
 
 
 def top_k(scores, k):

@@ -7,8 +7,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .bench import emit_report, run_benchmark
 from .data import DEFAULT_VOCAB, generate_dataset, read_samples_jsonl
 from .model import Detector, ModelConfig
@@ -37,16 +35,25 @@ def _load_config(path) -> ModelConfig:
         raise CliError(f"malformed config {path}: {exc}")
 
 
-def _build_model(config_path, checkpoint_path, require_checkpoint=True):
-    config = _load_config(config_path)
+def _build_model(config, checkpoint_path, require_checkpoint=True):
     model = Detector(config)
     if checkpoint_path:
         if not os.path.exists(checkpoint_path):
             raise CliError(f"checkpoint not found: {checkpoint_path}")
-        model.load(checkpoint_path)
+        try:
+            model.load(checkpoint_path)
+        except (FormatError, ValueError, OSError) as exc:
+            raise CliError(f"cannot load checkpoint {checkpoint_path}: {exc}")
     elif require_checkpoint:
         raise CliError("a --checkpoint is required")
     return model
+
+
+def _read_image(path):
+    try:
+        return load_image(path)
+    except (FormatError, OSError) as exc:
+        raise CliError(f"cannot read image {path}: {exc}")
 
 
 def _collect_images(args):
@@ -78,19 +85,19 @@ def cmd_detect(args):
     labels = _parse_labels(args.labels)
     if not (args.prompt or "").strip():
         raise CliError("--prompt must be non-empty")
-    model = _build_model(args.config, args.checkpoint)
+    model = _build_model(_load_config(args.config), args.checkpoint)
     paths = _collect_images(args)
     cache = LanguageCache() if args.cache == "on" else None
     multi = len(paths) > 1 or (args.out and not args.out.endswith(".json"))
     if multi and args.out:
         os.makedirs(args.out, exist_ok=True)
     for path in paths:
-        try:
-            image = load_image(path)
-        except (FormatError, OSError) as exc:
-            raise CliError(f"cannot read image {path}: {exc}")
+        image = _read_image(path)
         image_id = os.path.splitext(os.path.basename(path))[0]
-        det = model.detect(image, args.prompt, labels, cache, image_id=image_id)
+        try:
+            det = model.detect(image, args.prompt, labels, cache, image_id=image_id)
+        except (ValueError, FloatingPointError) as exc:
+            raise CliError(f"cannot detect on {path}: {exc}")
         doc = det.to_json()
         if args.out:
             out_path = (os.path.join(args.out, image_id + ".json")
@@ -106,11 +113,7 @@ def cmd_train(args):
     config = _load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    model = Detector(config)
-    if args.checkpoint:
-        if not os.path.exists(args.checkpoint):
-            raise CliError(f"checkpoint not found: {args.checkpoint}")
-        model.load(args.checkpoint)
+    model = _build_model(config, args.checkpoint, require_checkpoint=False)
 
     if args.dataset == "synthetic":
         samples = generate_dataset(range(args.scenes), vocab=DEFAULT_VOCAB)
@@ -120,7 +123,7 @@ def cmd_train(args):
         samples = read_samples_jsonl(args.dataset)
         for s in samples:
             if isinstance(s.image, str):
-                s.image = load_image(s.image)
+                s.image = _read_image(s.image)
 
     out = args.out or "model.otck"
     metrics_path = out + ".metrics.json"
@@ -149,12 +152,14 @@ def cmd_bench(args):
         raise CliError("--prompt must be non-empty")
     if args.iters < 1:
         raise CliError("--iters must be >= 1")
-    model = _build_model(args.config, args.checkpoint, require_checkpoint=False)
-    paths = _collect_images(args)
-    images = [load_image(p) for p in paths]
-    timings = run_benchmark(model, images, args.prompt, labels,
-                            iterations=args.iters, warmup=args.warmup,
-                            cache_enabled=(args.cache == "on"))
+    model = _build_model(_load_config(args.config), args.checkpoint, require_checkpoint=False)
+    images = [_read_image(p) for p in _collect_images(args)]
+    try:
+        timings = run_benchmark(model, images, args.prompt, labels,
+                                iterations=args.iters, warmup=args.warmup,
+                                cache_enabled=(args.cache == "on"))
+    except (ValueError, FloatingPointError) as exc:
+        raise CliError(f"cannot benchmark: {exc}")
     text = emit_report(timings, fmt=args.format, path=args.out)
     if not args.out:
         print(text)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import AttentionMask, Tensor, bilinear_sample, concat, matmul, softmax, stack
+from .autograd import AttentionMask, Tensor, concat, matmul, ms_deform_attn, softmax
 from .encoder import EncodedFeatures
-from .nn import (LayerNorm, Linear, MLP, MultiHeadSelfAttention, inverse_sigmoid,
-                 uniform_init, zeros_param)
+from .nn import LayerNorm, Linear, MLP, MultiHeadSelfAttention, inverse_sigmoid, uniform_init
 
 N_SCALES = 3
 
@@ -65,7 +64,6 @@ class DeformableAttention:
     def __init__(self, rng, d, heads, points, dtype=np.float32):
         if d % heads != 0:
             raise ValueError(f"width {d} not divisible by {heads} heads")
-        self.d = d
         self.heads = heads
         self.points = points
         self.value_proj = Linear(rng, d, d, dtype)
@@ -75,38 +73,13 @@ class DeformableAttention:
 
     def __call__(self, queries, refs, encoded: EncodedFeatures):
         nq = queries.shape[0]
-        h, s, dh = self.heads, self.points, self.d // self.heads
-        refs = refs if isinstance(refs, Tensor) else Tensor(refs)
-
         values = self.value_proj(encoded.o)                      # [M, d]
-        offsets = self.offset_proj(queries).reshape(nq, h, N_SCALES, s, 2)
-        raw_w = self.weight_proj(queries).reshape(nq, h, N_SCALES * s)
+        offsets = self.offset_proj(queries)                      # [nq, h*3*s*2]
+        raw_w = self.weight_proj(queries).reshape(nq, self.heads, N_SCALES * self.points)
         weights = softmax(raw_w, axis=-1)
-
-        cx = refs[:, 0].reshape(nq, 1, 1)
-        cy = refs[:, 1].reshape(nq, 1, 1)
-        bw = refs[:, 2].reshape(nq, 1, 1)
-        bh = refs[:, 3].reshape(nq, 1, 1)
-
-        per_scale = []
-        for level, ((hs, ws), start) in enumerate(
-                zip(encoded.scale_shapes, encoded.scale_offsets)):
-            vmap = values[start:start + hs * ws].reshape(hs, ws, h, dh)
-            vmap = vmap.transpose(2, 0, 1, 3)                    # [h, hs, ws, dh]
-            ox = offsets[:, :, level, :, 0]                      # [nq, h, s]
-            oy = offsets[:, :, level, :, 1]
-            px = (cx + ox * bw * 0.5) * ws - 0.5
-            py = (cy + oy * bh * 0.5) * hs - 0.5
-            pts = stack([px, py], axis=-1)                       # [nq, h, s, 2]
-            pts = pts.transpose(1, 0, 2, 3).reshape(h, nq * s, 2)
-            sampled = bilinear_sample(vmap, pts)                 # [h, nq*s, dh]
-            per_scale.append(sampled.reshape(h, nq, s, dh))
-        sampled = concat(per_scale, axis=2)                      # [h, nq, 3*s, dh]
-
-        w = weights.transpose(1, 0, 2).reshape(h, nq, N_SCALES * s, 1)
-        mixed = (sampled * w).sum(axis=2)                        # [h, nq, dh]
-        out = mixed.transpose(1, 0, 2).reshape(nq, self.d)
-        return self.out_proj(out)
+        sampled = ms_deform_attn(values, encoded.scale_shapes, encoded.scale_offsets,
+                                 refs, offsets, weights, self.heads, self.points)
+        return self.out_proj(sampled)
 
     def parameters(self, prefix):
         out = {}

@@ -12,10 +12,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, no_grad
+from .autograd import no_grad
 from .backbone import ImageBackbone
-from .decoder import (DetectionSet, ElaDecoder, build_dn_mask, classify,
-                      decode_detections)
+from .decoder import DetectionSet, ElaDecoder, build_dn_mask, decode_detections
 from .encoder import ElaEncoder
 from .nn import Linear, make_rng
 from .textenc import LanguageCache, TextEncoder

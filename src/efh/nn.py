@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, concat, layer_norm, matmul, softmax
+from .autograd import Tensor, layer_norm, matmul, softmax
 
 
 def make_rng(seed):

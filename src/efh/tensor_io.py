@@ -40,15 +40,24 @@ def write_tensor(stream, tensor) -> None:
     stream.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
 
 
+def _unpack(fmt, stream):
+    """``struct.unpack`` of the next bytes of ``stream``; FormatError if short."""
+    size = struct.calcsize(fmt)
+    raw = stream.read(size)
+    if len(raw) != size:
+        raise FormatError("truncated header")
+    return struct.unpack(fmt, raw)
+
+
 def read_tensor(stream) -> np.ndarray:
     magic = stream.read(4)
     if magic != TNSR_MAGIC:
         raise FormatError(f"bad tensor magic {magic!r}")
-    version, ndim = struct.unpack("<II", stream.read(8))
+    version, ndim = _unpack("<II", stream)
     if version != 1:
         raise FormatError(f"unsupported tensor version {version}")
-    dims = [struct.unpack("<Q", stream.read(8))[0] for _ in range(ndim)]
-    (code,) = struct.unpack("<I", stream.read(4))
+    dims = [_unpack("<Q", stream)[0] for _ in range(ndim)]
+    (code,) = _unpack("<I", stream)
     if code not in _DTYPE_CODES:
         raise FormatError(f"unknown dtype code {code}")
     dtype = _DTYPE_CODES[code]
@@ -93,13 +102,19 @@ def load_checkpoint(path) -> dict:
         magic = fh.read(4)
         if magic != OTCK_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = _unpack("<II", fh)
         if version != 1:
             raise FormatError(f"unsupported checkpoint version {version}")
         out = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
+            (nlen,) = _unpack("<I", fh)
+            raw = fh.read(nlen)
+            if len(raw) != nlen:
+                raise FormatError("truncated tensor name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"bad tensor name {raw[:32]!r}") from exc
             out[name] = read_tensor(fh)
         return out
 
@@ -108,7 +123,11 @@ def load_checkpoint(path) -> dict:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Binary P6 PPM to a [H, W, 3] float array in [0, 1]."""
+    """Binary P6 PPM to a [H, W, 3] float array in [0, 1].
+
+    Samples are bytes when maxval is below 256 and big-endian 16-bit
+    words otherwise, as the format specifies.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P6"):
@@ -125,11 +144,21 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit():
+            raise FormatError(f"bad PPM header field {token[:16]!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
-    raw = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)
-    return (raw.reshape(height, width, 3).astype(np.float32) / maxval)
+    if width < 1 or height < 1 or not 0 < maxval < 65536:
+        raise FormatError(f"bad PPM header: {width}x{height}, maxval {maxval}")
+    dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
+    count = width * height * 3
+    if len(data) - pos < count * dtype.itemsize:
+        raise FormatError(f"truncated PPM payload: {max(len(data) - pos, 0)} of "
+                          f"{count * dtype.itemsize} bytes")
+    raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+    return raw.reshape(height, width, 3).astype(np.float32) / maxval
 
 
 def write_ppm(path, image) -> None:
@@ -152,4 +181,7 @@ def load_image(path) -> np.ndarray:
         raise FormatError(f"unrecognized image format in {path}")
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise FormatError(f"expected [H, W, 3] image, got {arr.shape}")
-    return arr.astype(np.float32)
+    arr = arr.astype(np.float32)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"non-finite pixel values in {path}")
+    return arr

@@ -53,6 +53,9 @@ def train_step(model, batch, opt: AdamW, dn_cfg: DnConfig,
     if bad:
         raise NonFiniteLossError(opt.t, {**breakdown, "non_finite_grads": bad})
     opt.step()
+    # the text weights changed in place: language caches must not serve
+    # embeddings of the old ones
+    model.textenc.renew_weights_token()
     breakdown["lr"] = opt.current_lr()
     return breakdown
 

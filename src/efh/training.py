@@ -12,11 +12,11 @@ denoising loss, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, absolute, backward, bce_with_logits, maximum, minimum
+from .autograd import Tensor, absolute, bce_with_logits, maximum, minimum
 
 
 @dataclass

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from efh.autograd import (AttentionMask, AutogradError, ShapeError, Tensor,
                           backward, bilinear_sample, concat, grad_check,
-                          layer_norm, matmul, no_grad, softmax, top_k)
+                          layer_norm, matmul, ms_deform_attn, no_grad, softmax,
+                          stack, top_k)
 from efh.data import generate_dataset
 from efh.model import Detector, ModelConfig
 from efh.nn import MultiHeadSelfAttention, make_rng
@@ -162,6 +163,130 @@ class TestBilinearSample:
         pts = [[x, y] for y in range(4) for x in range(5)]
         out = bilinear_sample(t64(f), np.array(pts, dtype=np.float64)).data
         assert np.array_equal(out.reshape(4, 5, 2), f)
+
+
+def per_scale_deform_attn(values, scale_shapes, scale_offsets, refs, offsets, weights,
+                          heads, points):
+    """Reference: multi-scale deformable attention composed per scale from
+    ``bilinear_sample`` and elementwise ops (the decoder's earlier form)."""
+    nq, d = refs.shape[0], values.shape[1]
+    h, s, dh, levels = heads, points, values.shape[1] // heads, len(scale_shapes)
+    refs = Tensor(refs)
+    offsets = offsets.reshape(nq, h, levels, s, 2)
+    cx, cy, bw, bh = (refs[:, i].reshape(nq, 1, 1) for i in range(4))
+    per_scale = []
+    for level, ((hs, ws), start) in enumerate(zip(scale_shapes, scale_offsets)):
+        vmap = values[start:start + hs * ws].reshape(hs, ws, h, dh).transpose(2, 0, 1, 3)
+        px = (cx + offsets[:, :, level, :, 0] * bw * 0.5) * ws - 0.5
+        py = (cy + offsets[:, :, level, :, 1] * bh * 0.5) * hs - 0.5
+        pts = stack([px, py], axis=-1).transpose(1, 0, 2, 3).reshape(h, nq * s, 2)
+        per_scale.append(bilinear_sample(vmap, pts).reshape(h, nq, s, dh))
+    sampled = concat(per_scale, axis=2)
+    w = weights.transpose(1, 0, 2).reshape(h, nq, levels * s, 1)
+    return (sampled * w).sum(axis=2).transpose(1, 0, 2).reshape(nq, d)
+
+
+def deform_inputs(rng, shapes, nq, heads, points, d, pixels=None):
+    """Random op inputs; ``pixels(rng, size, extent)`` draws the sampling
+    coordinates of each scale, from which the offsets are solved."""
+    shapes = [tuple(sh) for sh in shapes]
+    starts = list(np.cumsum([0] + [hh * ww for hh, ww in shapes[:-1]]))
+    m = sum(hh * ww for hh, ww in shapes)
+    refs = np.column_stack([rng.uniform(0.2, 0.8, size=(nq, 2)),
+                            rng.uniform(0.1, 0.5, size=(nq, 2))])
+    offsets = rng.normal(size=(nq, heads, len(shapes), points, 2))
+    if pixels is not None:
+        for level, (hh, ww) in enumerate(shapes):
+            size = (nq, heads, points)
+            px, py = pixels(rng, size, ww), pixels(rng, size, hh)
+            cx, cy, bw, bh = (refs[:, i, None, None] for i in range(4))
+            offsets[:, :, level, :, 0] = ((px + 0.5) / ww - cx) / (bw * 0.5)
+            offsets[:, :, level, :, 1] = ((py + 0.5) / hh - cy) / (bh * 0.5)
+    weights = rng.uniform(0.1, 1.0, size=(nq, heads, len(shapes) * points))
+    return (rng.normal(size=(m, d)), shapes, starts, refs,
+            offsets.reshape(nq, -1), weights)
+
+
+class TestMsDeformAttn:
+    SHAPES = ((4, 5), (2, 3), (1, 1))
+
+    @staticmethod
+    def around_grid(rng, size, extent):
+        """Coordinates past both borders, straddling each edge and inside,
+        all at least 0.05 from an integer, so no finite difference crosses
+        a cell boundary."""
+        regimes = np.array([-3.3, -0.45, 0.3, extent - 0.6, extent + 1.7])
+        return rng.choice(regimes, size=size) + rng.uniform(-0.2, 0.2, size=size)
+
+    def test_grad_check_past_borders_and_straddling_edges(self):
+        rng = make_rng(20)
+        values, shapes, starts, refs, offsets, weights = deform_inputs(
+            rng, self.SHAPES, nq=3, heads=2, points=3, d=6, pixels=self.around_grid)
+        coeff = Tensor(rng.normal(size=(3, 6)))
+
+        def f(v, o, w):
+            return (ms_deform_attn(v, shapes, starts, refs, o, w, 2, 3) * coeff).sum()
+
+        err = grad_check(f, [t64(values), t64(offsets), t64(weights)])
+        assert err < 1e-8
+
+    def test_repeated_cells_accumulate(self):
+        # every point of every query samples the centre of cell (x=1, y=2)
+        # of one 4x4 scale, so the value gradient is a sum over all of them
+        rng = make_rng(21)
+        nq, heads, points, d = 3, 2, 4, 4
+        refs = np.tile([[1.5 / 4, 2.5 / 4, 0.3, 0.3]], (nq, 1))
+        weights = rng.uniform(0.1, 1.0, size=(nq, heads, points))
+        v = t64(rng.normal(size=(16, d)))
+        v.requires_grad = True
+        out = ms_deform_attn(v, [(4, 4)], [0], refs, t64(np.zeros((nq, heads, 1, points, 2))),
+                             t64(weights), heads, points)
+        grads = backward(out.sum())
+        expected = np.zeros((16, d))
+        expected[2 * 4 + 1] = np.repeat(weights.sum(axis=(0, 2)), d // heads)
+        assert np.allclose(grads[v], expected, rtol=0, atol=1e-12)
+        assert np.allclose(out.data, np.repeat(weights.sum(axis=2), d // heads, axis=1)
+                           * v.data[9], rtol=0, atol=1e-12)
+        err = grad_check(lambda vv, w: (ms_deform_attn(
+            vv, [(4, 4)], [0], refs, np.zeros((nq, heads, 1, points, 2)), w,
+            heads, points) ** 2).sum(), [t64(v.data), t64(weights)])
+        assert err < 1e-8
+
+    def test_f32_bit_equal_to_per_scale_composition(self):
+        # same float operations in the same order: outputs and gradients
+        # agree bit for bit, so detections and training runs do too
+        rng = make_rng(22)
+        nq, heads, points, d = 16, 8, 4, 64
+        values, shapes, starts, refs, offsets, weights = deform_inputs(
+            rng, ((8, 8), (4, 4), (2, 2)), nq, heads, points, d)
+        offsets = offsets * 3    # some points leave the grid
+        args = [Tensor(a.astype(np.float32), requires_grad=True)
+                for a in (values, offsets, weights)]
+        refs32 = refs.astype(np.float32)
+        coeff = Tensor(rng.normal(size=(nq, d)).astype(np.float32))
+        fused = ms_deform_attn(args[0], shapes, starts, refs32, args[1], args[2],
+                               heads, points)
+        g_fused = backward((fused * coeff).sum())
+        g_fused = [g_fused[a] for a in args]
+        ref = per_scale_deform_attn(args[0], shapes, starts, refs32, args[1], args[2],
+                                    heads, points)
+        for a in args:
+            a.grad = None
+        g_ref = backward((ref * coeff).sum())
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused.data, ref.data)
+        for a, g in zip(args, g_fused):
+            assert np.array_equal(g, g_ref[a])
+
+    def test_refs_are_constant(self):
+        rng = make_rng(23)
+        values, shapes, starts, refs, offsets, weights = deform_inputs(
+            rng, self.SHAPES, nq=2, heads=2, points=1, d=4)
+        with pytest.raises(AutogradError):
+            ms_deform_attn(values, shapes, starts, Tensor(refs, requires_grad=True),
+                           offsets, weights, 2, 1)
+        with pytest.raises(ShapeError):
+            ms_deform_attn(values, shapes, starts, refs, offsets[:, :-2], weights, 2, 1)
 
 
 class TestTopK:

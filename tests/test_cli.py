@@ -151,3 +151,61 @@ class TestBench:
     def test_zero_iters_rejected(self, workdir):
         assert run("bench", "--image", str(workdir / "a.tnsr"),
                    "--labels", "x", "--prompt", "p", "--iters", "0") == EXIT_USAGE
+
+
+class TestBadInputs:
+    """Each bad input ends in exit 2 and a single ``error:`` line."""
+
+    @staticmethod
+    def one_error_line(capsys):
+        err = capsys.readouterr().err.strip().splitlines()
+        return len(err) == 1 and err[0].startswith("error: ")
+
+    def detect(self, workdir, image, config="config.json", checkpoint="model.otck"):
+        return run("detect", "--config", str(workdir / config),
+                   "--checkpoint", str(workdir / checkpoint), "--image", str(image),
+                   "--labels", "red circle", "--prompt", "find")
+
+    @pytest.mark.parametrize("command", ["detect", "bench", "train"])
+    def test_truncated_checkpoint(self, workdir, tmp_path, capsys, command):
+        ckpt = tmp_path / "cut.otck"
+        ckpt.write_bytes((workdir / "model.otck").read_bytes()[:1000])
+        args = {"detect": ["--image", str(workdir / "a.tnsr"), "--labels", "x",
+                           "--prompt", "p"],
+                "bench": ["--image", str(workdir / "a.tnsr"), "--labels", "x",
+                          "--prompt", "p", "--iters", "1"],
+                "train": ["--steps", "0", "--scenes", "1",
+                          "--out", str(tmp_path / "t.otck")]}[command]
+        code = run(command, "--config", str(workdir / "config.json"),
+                   "--checkpoint", str(ckpt), *args)
+        assert code == EXIT_USAGE
+        assert self.one_error_line(capsys)
+
+    def test_image_side_not_multiple_of_32(self, workdir, tmp_path, capsys):
+        path = tmp_path / "small.tnsr"
+        save_tensor(path, np.full((48, 48, 3), 0.5, dtype=np.float32))
+        assert self.detect(workdir, path) == EXIT_USAGE
+        assert self.one_error_line(capsys)
+
+    def test_nan_pixel(self, workdir, tmp_path, capsys):
+        img = np.full((32, 32, 3), 0.5, dtype=np.float32)
+        img[0, 0, 0] = np.nan
+        path = tmp_path / "nan.tnsr"
+        save_tensor(path, img)
+        assert self.detect(workdir, path) == EXIT_USAGE
+        assert self.one_error_line(capsys)
+
+    def test_more_queries_than_positions(self, workdir, tmp_path, capsys):
+        # a 32x32 image has 16 + 4 + 1 = 21 encoder positions
+        config = tmp_path / "kq64.json"
+        config.write_text(json.dumps({**SMALL, "k_q": 64}))
+        Detector(ModelConfig(**{**SMALL, "k_q": 64})).save(tmp_path / "kq64.otck")
+        assert self.detect(tmp_path, workdir / "a.tnsr", config="kq64.json",
+                           checkpoint="kq64.otck") == EXIT_USAGE
+        assert self.one_error_line(capsys)
+
+    def test_truncated_ppm(self, workdir, tmp_path, capsys):
+        path = tmp_path / "cut.ppm"
+        path.write_bytes((workdir / "b.ppm").read_bytes()[:-10])
+        assert self.detect(workdir, path) == EXIT_USAGE
+        assert self.one_error_line(capsys)

@@ -97,6 +97,15 @@ class TestDetector:
                 cached = model.detect(img, "find shapes", vocab, cache).to_json()
                 assert cached == model.detect(img, "find shapes", vocab).to_json()
 
+    def test_cache_warmed_before_training_not_served(self):
+        img, _, vocab = scene(5)
+        model = small_model(seed=0)
+        cache = LanguageCache()
+        model.detect(img, "find shapes", vocab, cache)     # warm on untrained weights
+        run_training(model, generate_dataset(range(2), canvas_size=32), steps=3)
+        cached = model.detect(img, "find shapes", vocab, cache).to_json()
+        assert cached == model.detect(img, "find shapes", vocab).to_json()
+
     def test_load_shape_mismatch_rejected(self, tmp_path):
         model = small_model()
         path = tmp_path / "m.otck"

@@ -59,6 +59,14 @@ class TestCheckpoint:
         for k in named:
             assert np.array_equal(back[k].view(np.uint8), named[k].view(np.uint8))
 
+    @pytest.mark.parametrize("cut", [6, 14, 30])
+    def test_truncated_rejected(self, tmp_path, cut):
+        path = tmp_path / "m.otck"
+        save_checkpoint(path, {"a.w": np.ones((2, 2), dtype=np.float32)})
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.otck"
         path.write_bytes(b"NOPE" + b"\0" * 16)
@@ -89,5 +97,33 @@ class TestPpm:
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00\x01\x02\x03garbage")
+        with pytest.raises(FormatError):
+            load_image(path)
+
+    def test_16_bit_samples_are_big_endian_words(self, tmp_path):
+        path = tmp_path / "grey16.ppm"
+        path.write_bytes(b"P6\n4 2\n65535\n" + b"\x80\x00" * (4 * 2 * 3))
+        img = read_ppm(path)
+        assert img.shape == (2, 4, 3)
+        assert np.allclose(img, 32768 / 65535)
+
+    @pytest.mark.parametrize("raw", [
+        b"P6\n4 4\n255\n" + b"\x00" * 47,     # short payload
+        b"P6\n4 4\n",                          # header ends before maxval
+        b"P6\nfour 4\n255\n" + b"\x00" * 48,  # non-numeric width
+        b"P6\n0 4\n255\n",                    # empty image
+        b"P6\n4 4\n70000\n" + b"\x00" * 96,   # maxval out of range
+    ])
+    def test_malformed_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError):
+            read_ppm(path)
+
+    def test_non_finite_pixels_rejected(self, tmp_path):
+        img = np.full((32, 32, 3), 0.5, dtype=np.float32)
+        img[3, 4, 1] = np.nan
+        path = tmp_path / "nan.tnsr"
+        save_tensor(path, img)
         with pytest.raises(FormatError):
             load_image(path)
